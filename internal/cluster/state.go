@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
@@ -112,6 +113,10 @@ type State struct {
 	// external readers see; the mirror only short-circuits the no-new-peak
 	// common case.
 	customerPeak []float64
+	// peakEpoch counts changes to CustomerPeakLoad and EndpointPeakPerVM,
+	// so placement caches built from EstimateVMPeakLoad know when to
+	// re-project. Read it through PeakEpoch.
+	peakEpoch uint64
 
 	histAccum time.Duration
 
@@ -121,8 +126,9 @@ type State struct {
 	rowIaaS     []int   // row → placed IaaS VM count
 	rowSaaS     []int   // row → placed SaaS VM count
 	freeCount   int
-	freeIDs     []int // cached ascending free-server IDs; valid when !freeDirty
-	freeDirty   bool
+	// freeIDs holds the ascending free-server IDs once FreeServers has been
+	// called; Place and Remove keep it current from then on.
+	freeIDs []int
 }
 
 // NewState initializes cluster state for a datacenter and workload, building
@@ -169,7 +175,6 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		rowIaaS:   make([]int, len(dc.Rows)),
 		rowSaaS:   make([]int, len(dc.Rows)),
 		freeCount: n,
-		freeDirty: true,
 	}
 	for i := range st.ServerVM {
 		st.ServerVM[i] = -1
@@ -217,7 +222,10 @@ func (st *State) Place(vmID, serverID int) error {
 	vm.Server = serverID
 	st.ServerVM[serverID] = vmID
 	st.freeCount--
-	st.freeDirty = true
+	if st.freeIDs != nil {
+		i, _ := slices.BinarySearch(st.freeIDs, serverID)
+		st.freeIDs = slices.Delete(st.freeIDs, i, i+1)
+	}
 	row := st.DC.Servers[serverID].Row
 	st.RowOccEpoch[row]++
 	if vm.Spec.Kind == trace.SaaS {
@@ -246,7 +254,10 @@ func (st *State) Remove(vmID int) {
 		st.ServerVM[vm.Server] = -1
 		st.ServerFreqCap[vm.Server] = 1
 		st.freeCount++
-		st.freeDirty = true
+		if st.freeIDs != nil {
+			i, _ := slices.BinarySearch(st.freeIDs, vm.Server)
+			st.freeIDs = slices.Insert(st.freeIDs, i, vm.Server)
+		}
 		vm.Server = -1
 	}
 	vm.Instance = nil
@@ -280,19 +291,17 @@ func (st *State) unindexEndpointVM(vm *VM) {
 
 // FreeServers returns the IDs of unoccupied servers in ascending order. The
 // returned slice is owned by the State and valid until the next Place or
-// Remove; callers must not mutate or retain it.
+// Remove; callers must not mutate or retain it. The first call builds the
+// list (sized for the whole fleet, so it never regrows); Place and Remove
+// then keep it current by binary-search delete and insert.
 func (st *State) FreeServers() []int {
-	if st.freeDirty {
-		if cap(st.freeIDs) < st.freeCount {
-			st.freeIDs = make([]int, 0, len(st.ServerVM))
-		}
-		st.freeIDs = st.freeIDs[:0]
+	if st.freeIDs == nil {
+		st.freeIDs = make([]int, 0, len(st.ServerVM))
 		for id, vm := range st.ServerVM {
 			if vm == -1 {
 				st.freeIDs = append(st.freeIDs, id)
 			}
 		}
-		st.freeDirty = false
 	}
 	return st.freeIDs
 }
@@ -358,15 +367,31 @@ func (st *State) GPUTemps(server int) []float64 {
 // concurrent runs.
 func (st *State) SeedHistory(customerPeak, endpointPeak map[int]float64) {
 	for c, v := range customerPeak {
-		st.CustomerPeakLoad[c] = v
+		st.setPeak(st.CustomerPeakLoad, c, v)
 		if c >= 0 && c < len(st.customerPeak) && v > st.customerPeak[c] {
 			st.customerPeak[c] = v
 		}
 	}
 	for e, v := range endpointPeak {
-		st.EndpointPeakPerVM[e] = v
+		st.setPeak(st.EndpointPeakPerVM, e, v)
 	}
 }
+
+// setPeak stores one peak estimate, advancing the peak epoch only when the
+// stored entry actually changes (a new key or a different value).
+func (st *State) setPeak(m map[int]float64, key int, v float64) {
+	if old, ok := m[key]; ok && old == v {
+		return
+	}
+	m[key] = v
+	st.peakEpoch++
+}
+
+// PeakEpoch counts the changes to the peak-load estimates behind
+// EstimateVMPeakLoad (CustomerPeakLoad and EndpointPeakPerVM). Two equal
+// readings prove every estimate in between is unchanged. The estimates are
+// only written in serial phases, so the counter needs no synchronization.
+func (st *State) PeakEpoch() uint64 { return st.peakEpoch }
 
 // AisleLimitCFM returns the effective provisioned airflow of an aisle under
 // the current cooling-emergency factor.
@@ -417,6 +442,7 @@ func (st *State) ObserveCustomerLoad(customer int, loadFrac float64) {
 	}
 	if loadFrac > st.CustomerPeakLoad[customer] {
 		st.CustomerPeakLoad[customer] = loadFrac
+		st.peakEpoch++
 	}
 }
 
@@ -424,6 +450,7 @@ func (st *State) ObserveCustomerLoad(customer int, loadFrac float64) {
 func (st *State) ObserveEndpointDemand(endpoint int, perVMTokens float64) {
 	if perVMTokens > st.EndpointPeakPerVM[endpoint] {
 		st.EndpointPeakPerVM[endpoint] = perVMTokens
+		st.peakEpoch++
 	}
 }
 

@@ -277,6 +277,37 @@ func TestEstimateVMPeakLoad(t *testing.T) {
 	}
 }
 
+// TestPeakEpochTracksEstimateChanges pins the peak-estimate epoch: it moves
+// exactly when CustomerPeakLoad or EndpointPeakPerVM changes, so placement
+// caches keyed on it re-project when and only when EstimateVMPeakLoad can
+// answer differently.
+func TestPeakEpochTracksEstimateChanges(t *testing.T) {
+	st := newTestState(t)
+	steps := []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"new customer peak", func() { st.ObserveCustomerLoad(7, 0.6) }, true},
+		{"lower customer load", func() { st.ObserveCustomerLoad(7, 0.4) }, false},
+		{"equal customer load", func() { st.ObserveCustomerLoad(7, 0.6) }, false},
+		{"customer outside the workload", func() { st.ObserveCustomerLoad(1<<20, 0.3) }, true},
+		{"zero load for an unseen customer", func() { st.ObserveCustomerLoad(8, 0) }, false},
+		{"new endpoint peak", func() { st.ObserveEndpointDemand(0, 100) }, true},
+		{"lower endpoint demand", func() { st.ObserveEndpointDemand(0, 50) }, false},
+		{"seed equal to the stored peaks", func() { st.SeedHistory(map[int]float64{7: 0.6}, map[int]float64{0: 100}) }, false},
+		{"seed a new customer", func() { st.SeedHistory(map[int]float64{9: 0}, nil) }, true},
+		{"seed a lower endpoint peak", func() { st.SeedHistory(nil, map[int]float64{0: 10}) }, true},
+	}
+	for _, s := range steps {
+		before := st.PeakEpoch()
+		s.do()
+		if moved := st.PeakEpoch() != before; moved != s.moves {
+			t.Errorf("%s: epoch moved = %v, want %v", s.name, moved, s.moves)
+		}
+	}
+}
+
 func TestAisleLimitUnderEmergency(t *testing.T) {
 	st := newTestState(t)
 	normal := st.AisleLimitCFM(0)

@@ -101,13 +101,7 @@ func (m *migrator) selectTarget(st *cluster.State, vm *cluster.VM, ceiling float
 		if occupant != -1 || id == vm.Server {
 			continue
 		}
-		inlet := st.ServerInletC[id]
-		proj := 0.0
-		for g := 0; g < st.GPUsPerServer; g++ {
-			if t := m.prof.GPUTemp.Predict(id, g, inlet, estLoad); t > proj {
-				proj = t
-			}
-		}
+		proj := m.prof.GPUTemp.PredictHottest(id, st.ServerInletC[id], estLoad)
 		if proj <= ceiling && proj > bestProj {
 			best, bestProj = id, proj
 		}

@@ -3,6 +3,7 @@ package layout
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // Config describes a datacenter to generate. Aisles each contain two rows
@@ -103,7 +104,8 @@ type Rack struct {
 }
 
 // Row is a line of racks sharing one provisioned power envelope (fed by a
-// PDU pair).
+// PDU pair). A row is built from one GPU generation, and Servers is in
+// ascending ID order (AddRacks appends higher IDs).
 type Row struct {
 	ID         int
 	Aisle      int
@@ -120,7 +122,8 @@ type Aisle struct {
 	Rows           [2]*Row
 	ProvAirflowCFM float64
 
-	servers []*Server // memoized Servers() result
+	servers   []*Server // memoized Servers() result
+	serverIDs []int     // memoized ServerIDs() result
 }
 
 // Servers returns all servers in both rows of the aisle. The slice is
@@ -133,6 +136,25 @@ func (a *Aisle) Servers() []*Server {
 		a.servers = append(out, a.Rows[1].Servers...)
 	}
 	return a.servers
+}
+
+// ServerIDs returns the IDs of all servers in the aisle in ascending order.
+// Servers() lists row by row, which is not ID order once AddRacks has
+// appended racks to the first row; sums that must match a pass over
+// Datacenter.Servers use this order instead. The slice is memoized, so
+// callers must treat it as read-only.
+func (a *Aisle) ServerIDs() []int {
+	if a.serverIDs == nil {
+		ids := make([]int, 0, len(a.Rows[0].Servers)+len(a.Rows[1].Servers))
+		for _, row := range a.Rows {
+			for _, srv := range row.Servers {
+				ids = append(ids, srv.ID)
+			}
+		}
+		slices.Sort(ids)
+		a.serverIDs = ids
+	}
+	return a.serverIDs
 }
 
 // UPS is one uninterruptible power supply in the 4N/3 redundancy group.
@@ -344,7 +366,9 @@ func (dc *Datacenter) AddRacks(ratio float64) {
 		}
 		// Note: row.ProvPowerW and aisle ProvAirflowCFM intentionally stay
 		// fixed — that is what oversubscription means.
-		dc.Aisles[row.Aisle].servers = nil // invalidate the memoized roster
+		// Invalidate the memoized rosters.
+		dc.Aisles[row.Aisle].servers = nil
+		dc.Aisles[row.Aisle].serverIDs = nil
 	}
 }
 

@@ -361,3 +361,55 @@ func TestMixedFleetValidation(t *testing.T) {
 		t.Error("negative mix fraction accepted")
 	}
 }
+
+// TestServerOrderAfterAddRacks pins what placement relies on: each row is
+// one GPU generation and lists its servers in ascending ID order, and
+// Aisle.ServerIDs is the aisle's servers in ascending ID order even after
+// AddRacks, where Aisle.Servers() (row by row) no longer is.
+func TestServerOrderAfterAddRacks(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.Aisles = 3
+	cfg.MixGPU, cfg.MixFraction = H100, 0.34
+	dc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Aisles[0].ServerIDs() // memoize before growing: AddRacks must invalidate it
+	dc.AddRacks(0.5)
+	for _, row := range dc.Rows {
+		for i := 1; i < len(row.Servers); i++ {
+			if row.Servers[i-1].ID >= row.Servers[i].ID {
+				t.Fatalf("row %d servers out of ID order at %d", row.ID, i)
+			}
+			if row.Servers[i].GPU.Model != row.Servers[0].GPU.Model {
+				t.Fatalf("row %d mixes GPU generations", row.ID)
+			}
+		}
+	}
+	for _, a := range dc.Aisles {
+		ids := a.ServerIDs()
+		srvs := a.Servers()
+		if len(ids) != len(srvs) {
+			t.Fatalf("aisle %d: %d IDs for %d servers", a.ID, len(ids), len(srvs))
+		}
+		seen := map[int]bool{}
+		for _, s := range srvs {
+			seen[s.ID] = true
+		}
+		for i, id := range ids {
+			if !seen[id] || dc.Servers[id].Aisle != a.ID {
+				t.Fatalf("aisle %d: ID %d is not one of its servers", a.ID, id)
+			}
+			if i > 0 && ids[i-1] >= id {
+				t.Fatalf("aisle %d: IDs out of order at %d", a.ID, i)
+			}
+		}
+		rosterSorted := true
+		for i := 1; i < len(srvs); i++ {
+			rosterSorted = rosterSorted && srvs[i-1].ID < srvs[i].ID
+		}
+		if rosterSorted {
+			t.Errorf("aisle %d: Servers() is in ID order after AddRacks; the case ServerIDs exists for is not exercised", a.ID)
+		}
+	}
+}

@@ -233,10 +233,11 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		la.idleAirflowBy[m] = thermal.Airflow(mp, heatFrac)
 	}
 	// Pre-warm the lazily memoized aisle rosters: policies call
-	// Aisle.Servers() in capping paths, and the memo write would race when
-	// runs share the layout.
+	// Aisle.Servers() in capping paths and Aisle.ServerIDs() in placement,
+	// and the memo writes would race when runs share the layout.
 	for _, a := range dc.Aisles {
 		a.Servers()
+		a.ServerIDs()
 	}
 	return la, nil
 }
@@ -492,14 +493,7 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 	if err := cs.checkRuntimeOnly(); err != nil {
 		return nil, err
 	}
-	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
-	for m, p := range cs.profileBy {
-		if p != nil && p != cs.Profile {
-			st.SetModelProfile(layout.GPUModel(m), p)
-		}
-	}
-	st.Tick = sc.Tick
-	st.SeedHistory(cs.customerPeak, cs.endpointPeak)
+	st := cs.NewState()
 	if init, ok := pol.(Initializer); ok {
 		if err := init.Init(st); err != nil {
 			return nil, fmt.Errorf("sim: policy init: %w", err)
@@ -507,6 +501,22 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 	}
 	r := &runner{sc: sc, cs: cs, pol: pol, st: st, outside: cs.Outside}
 	return r.run()
+}
+
+// NewState builds the cluster state a run starts from: an empty fleet with
+// the per-generation serving profiles installed, the scenario's tick, and
+// the seeded demand history. Run starts every simulation from it; tests and
+// benchmarks use it to drive policies against a run's initial state.
+func (cs *CompiledScenario) NewState() *cluster.State {
+	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
+	for m, p := range cs.profileBy {
+		if p != nil && p != cs.Profile {
+			st.SetModelProfile(layout.GPUModel(m), p)
+		}
+	}
+	st.Tick = cs.Scenario.Tick
+	st.SeedHistory(cs.customerPeak, cs.endpointPeak)
+	return st
 }
 
 // compileHistory pre-computes the per-customer and per-endpoint demand

@@ -64,13 +64,54 @@ func FitInletModel(samples []InletSample, nServers int) (*InletModel, error) {
 // GPUTempModel is the learned per-GPU temperature model (Eq. 2):
 // T_GPU,s,g = f_s,g(T_inlet,s, Load_GPU,g). Linear in both inputs.
 type GPUTempModel struct {
-	// PerGPU[serverID][gpu] over features [1, inletC, powerFrac].
-	PerGPU [][]regress.Linear
+	// weights holds each (server, GPU) fit's weights over the features
+	// [1, inletC, powerFrac], gpuFeatures values per GPU, flat in
+	// server-major order: fleet-wide scans (placement projects every free
+	// server) read memory sequentially instead of chasing one allocation
+	// per GPU.
+	weights []float64
+	gpus    int
+}
+
+// gpuFeatures is the number of features of the per-GPU fit.
+const gpuFeatures = 3
+
+// gpuWeights returns one GPU's fitted weights.
+func (m *GPUTempModel) gpuWeights(serverID, gpu int) []float64 {
+	i := (serverID*m.gpus + gpu) * gpuFeatures
+	return m.weights[i : i+gpuFeatures : i+gpuFeatures]
+}
+
+// evalGPU evaluates one GPU's fit as regress.Linear.Eval does over the
+// features [1, inletC, powerFrac]: accumulated from 0 in feature order, so
+// the result is bit-identical to the fitted Linear's.
+func evalGPU(w []float64, inletC, powerFrac float64) float64 {
+	t := 0.0
+	t += w[0] * 1
+	t += w[1] * inletC
+	t += w[2] * powerFrac
+	return t
 }
 
 // Predict estimates the temperature of one GPU.
 func (m *GPUTempModel) Predict(serverID, gpu int, inletC, powerFrac float64) float64 {
-	return m.PerGPU[serverID][gpu].Eval([]float64{1, inletC, powerFrac})
+	return evalGPU(m.gpuWeights(serverID, gpu), inletC, powerFrac)
+}
+
+// PredictHottest estimates the hottest GPU of a server with every GPU at the
+// same inlet and power fraction, floored at 0 °C: bit-identical to taking
+// the maximum of Predict over the server's GPUs.
+func (m *GPUTempModel) PredictHottest(serverID int, inletC, powerFrac float64) float64 {
+	i := serverID * m.gpus * gpuFeatures
+	ws := m.weights[i : i+m.gpus*gpuFeatures]
+	hot := 0.0
+	for len(ws) >= gpuFeatures {
+		if t := evalGPU(ws[:gpuFeatures], inletC, powerFrac); t > hot {
+			hot = t
+		}
+		ws = ws[gpuFeatures:]
+	}
+	return hot
 }
 
 // HeadroomPowerFrac inverts the learned model: the highest power fraction
@@ -78,7 +119,7 @@ func (m *GPUTempModel) Predict(serverID, gpu int, inletC, powerFrac float64) flo
 // This is what the Instance Configurator and router use to compute thermal
 // headroom. Clamped to [0, 1].
 func (m *GPUTempModel) HeadroomPowerFrac(serverID, gpu int, inletC, limitC float64) float64 {
-	w := m.PerGPU[serverID][gpu].Weights
+	w := m.gpuWeights(serverID, gpu)
 	// temp = w0 + w1·inlet + w2·powerFrac  ⇒  powerFrac = (limit−w0−w1·inlet)/w2
 	if w[2] <= 0 {
 		return 1
@@ -114,9 +155,8 @@ func FitGPUTempModel(samples []GPUSample, nServers, gpusPerServer int) (*GPUTemp
 		feats[idx] = append(feats[idx], []float64{1, s.InletC, s.PowerFrac})
 		targets[idx] = append(targets[idx], s.TempC)
 	}
-	m := &GPUTempModel{PerGPU: make([][]regress.Linear, nServers)}
+	m := &GPUTempModel{weights: make([]float64, nServers*gpusPerServer*gpuFeatures), gpus: gpusPerServer}
 	for sv := 0; sv < nServers; sv++ {
-		m.PerGPU[sv] = make([]regress.Linear, gpusPerServer)
 		for g := 0; g < gpusPerServer; g++ {
 			idx := sv*gpusPerServer + g
 			if len(feats[idx]) < 6 {
@@ -127,7 +167,7 @@ func FitGPUTempModel(samples []GPUSample, nServers, gpusPerServer int) (*GPUTemp
 			if err != nil {
 				return nil, fmt.Errorf("thermal: fitting gpu temp model server %d gpu %d: %w", sv, g, err)
 			}
-			m.PerGPU[sv][g] = lin
+			copy(m.gpuWeights(sv, g), lin.Weights)
 		}
 	}
 	return m, nil

@@ -183,3 +183,53 @@ func TestFitAirflowModelError(t *testing.T) {
 		t.Error("expected insufficient-data error")
 	}
 }
+
+// TestPredictHottestMatchesPredict pins the per-GPU evaluation bit for bit:
+// Predict to regress.Linear.Eval over [1, inlet, load], and PredictHottest to
+// the maximum of Predict over a server's GPUs (floored at 0, as every
+// caller's loop was), across fitted models and random operating points.
+func TestPredictHottestMatchesPredict(t *testing.T) {
+	dc, err := layout.New(layout.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(4, 4))
+	nSrv := 6
+	gpus := dc.Servers[0].GPU.GPUsPerServer
+	var samples []GPUSample
+	for i := 0; i < 60; i++ {
+		inlet := 18 + rng.Float64()*12
+		for sv := 0; sv < nSrv; sv++ {
+			for g := 0; g < gpus; g++ {
+				pf := rng.Float64()
+				samples = append(samples, GPUSample{
+					Server: sv, GPU: g, InletC: inlet, PowerFrac: pf,
+					TempC: GPUTemp(dc.Servers[sv], g, inlet, pf) + rng.NormFloat64()*0.3,
+				})
+			}
+		}
+	}
+	model, err := FitGPUTempModel(samples, nSrv, gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		sv := rng.IntN(nSrv)
+		inlet := rng.Float64()*60 - 20
+		pf := rng.Float64()*1.2 - 0.1
+		want := 0.0
+		for g := 0; g < gpus; g++ {
+			tc := model.Predict(sv, g, inlet, pf)
+			lin := regress.Linear{Weights: model.gpuWeights(sv, g)}
+			if ref := lin.Eval([]float64{1, inlet, pf}); math.Float64bits(tc) != math.Float64bits(ref) {
+				t.Fatalf("server %d gpu %d at inlet %v, load %v: Predict %v, Linear.Eval %v", sv, g, inlet, pf, tc, ref)
+			}
+			if tc > want {
+				want = tc
+			}
+		}
+		if got := model.PredictHottest(sv, inlet, pf); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("server %d at inlet %v, load %v: PredictHottest %v, Predict loop %v", sv, inlet, pf, got, want)
+		}
+	}
+}

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-2x}"
-filter="${BENCH_FILTER:-Table1|Fig[0-9]+|Table2|EngineTick|PowerGovTick|CompileScenario|CompiledScenarioRun|CompileCache(Hit|Miss)|Campaign(Cold|Warm)Cache|Hyperscale}"
+filter="${BENCH_FILTER:-Table1|Fig[0-9]+|Table2|EngineTick|PowerGovTick|Place|CompileScenario|CompiledScenarioRun|CompileCache(Hit|Miss)|Campaign(Cold|Warm)Cache|Hyperscale}"
 out="${BENCH_OUT:-BENCH_$(date +%Y%m%d).json}"
 ci="false"
 if [ "${GITHUB_ACTIONS:-}" = "true" ]; then ci="true"; fi
